@@ -2,13 +2,13 @@
 
 Three experiments, all feeding ``BENCH_PR3.json`` at the repo root:
 
-- **codec** — collect + restore CPU time with the compiled codec plans
-  enabled vs the per-cell interpreter (``TITable.codecs_enabled``), on
-  the same stopped process, with byte-identity asserted between the two
-  payloads.  The struct-heavy ``structgrid`` workload is the acceptance
-  case (the compiled path must be >= 2x faster end to end there); the
-  pointer-chasing ``bitonic`` tree shows the segmented plan's smaller
-  win on tiny pointer-heavy blocks.
+- **codec** — collect + restore CPU time with the compiled plans
+  enabled vs the per-cell reference loop (``TITable.plans_enabled``),
+  on the same stopped process, with byte-identity asserted between the
+  two payloads.  The struct-heavy ``structgrid`` workload is the
+  acceptance case (the compiled path must be >= 2x faster end to end
+  there); the pointer-chasing ``bitonic`` tree gains little — its nodes
+  carry pointers and the chain plan declines tree-shaped data.
 - **compression** — a monolithic-vs-streamed x raw-vs-compressed grid:
   wire bytes actually stored, compression ratio, codec (deflate) time,
   and modeled transfer time over the paper's 10 Mb/s Ethernet.
@@ -20,12 +20,11 @@ Usage::
     python benchmarks/bench_codec.py --smoke     # small sizes, CI mode
     python benchmarks/bench_codec.py             # full sizes
 
-Exits 1 if, on a workload where compiled plans actually engage
-(``n_codec_blocks > 0``), the compiled collect is slower than the
-per-cell interpreter beyond a 10% noise margin — the whole point of
-compiling the plans.  Workloads the compilation gate declines (tiny
-pointer-heavy blocks fall back to ``_NO_CODEC``) run identical code in
-both modes and are excluded from the check.
+Exits 1 if, on a workload where the pointer-free plan engages on
+non-flat structs (``n_codec_blocks > 0``), the compiled collect is
+slower than the per-cell reference beyond a 10% noise margin — the
+whole point of compiling the plans.  Other workloads are excluded from
+the check.
 """
 
 from __future__ import annotations
@@ -110,25 +109,18 @@ def _time_restore(prog, payload: bytes, repeats: int) -> float:
 
 
 def bench_codecs(workload: str, size, repeats: int) -> dict:
-    """Collect + restore CPU time, compiled plans vs per-cell interpreter."""
+    """Collect + restore CPU time, compiled plans vs per-cell reference."""
     prog, polls = _program(workload, size)
     proc = _stopped(prog, polls)
     dest_ti = Process(prog, SPARC20).ti  # shared per (program, arch)
 
-    # whole-graph plans (PR 8) are a separate axis benchmarked by
-    # bench_graphplan.py; pin them off so codec-vs-percell numbers keep
-    # measuring exactly what BENCH_PR3.json's baseline measured
-    proc.ti.graphplan_enabled = False
-    dest_ti.graphplan_enabled = False
     results = {}
     for mode, enabled in (("percell", False), ("codec", True)):
-        proc.ti.codecs_enabled = enabled
-        dest_ti.codecs_enabled = enabled
+        proc.ti.plans_enabled = enabled
+        dest_ti.plans_enabled = enabled
         collect_s, payload = _time_collect(proc, repeats)
         restore_s = _time_restore(prog, payload, repeats)
         results[mode] = (collect_s, restore_s, payload)
-    proc.ti.codecs_enabled = True
-    dest_ti.codecs_enabled = True
 
     pc_c, pc_r, pc_payload = results["percell"]
     cd_c, cd_r, cd_payload = results["codec"]
@@ -189,8 +181,8 @@ def bench_msrlt_cache(size) -> dict:
     prog, polls = _program("structgrid", size)
     proc = _stopped(prog, polls)
     # scalar-cache measurement: bulk lookups bypass the last-hit cache,
-    # so pin the graph plans off to keep the hit-rate comparable
-    proc.ti.graphplan_enabled = False
+    # so pin the plans off to keep the hit-rate comparable
+    proc.ti.plans_enabled = False
     collect_state(proc)
     msrlt = proc.msrlt
     return {

@@ -1,14 +1,16 @@
-"""Benchmark: whole-graph vectorized collect/restore (graph plans, PR 8).
+"""Benchmark: compiled collect/restore plans vs the per-cell reference.
 
-Measures the compiled graph-plan pipeline — the searchsorted MSRLT
-arena, FlatPlan/PtrArrayPlan bulk moves, and the ChainPlan stride walk —
-against the PR 3 configuration (compiled type codecs ON, graph plans
-OFF), on the same stopped process, with byte-identity asserted between
-the two payloads on every row.  Results feed ``BENCH_PR8.json``.
+Measures the compiled plans — the pointer-free plan's one-cast bulk
+moves, the PtrArrayPlan vectorized swizzle over the searchsorted MSRLT
+arena, and the ChainPlan stride walk — against the per-cell reference
+loop (``TITable.plans_enabled = False``), on the same stopped process,
+with byte-identity asserted between the two payloads on every row.
+Results feed ``BENCH_PR8.json``.
 
-The baseline here is deliberately the *best previously shipped*
-configuration, not the per-cell interpreter: the speedups below are on
-top of everything BENCH_PR3.json already claims.
+The "off" arm is the per-cell loop for every block, flat blocks
+included.  Rows recorded before the plans were folded into one per type
+used a faster off arm (struct codecs on, graph plans off), so only their
+compiled-arm times compare with today's rows, not their speedups.
 
 Timing is interleaved (off/on alternating inside one loop, best-of
 repeats) because wall-clock drift between back-to-back process runs on
@@ -27,8 +29,8 @@ Workload roles:
 
 - **structgrid** — struct-heavy grid whose per-probe allocations form
   long heap chains; the ChainPlan acceptance case (>= 10x total).
-- **linpack** — large flat f64 matrices; the FlatPlan/zero-copy wire
-  acceptance case (>= 3x total; the payload memcpy floor is paid in
+- **linpack** — large flat f64 matrices; the pointer-free plan's
+  zero-copy wire acceptance case (>= 3x total; the payload memcpy floor is paid in
   both modes, which caps the collect side).
 - **bitonic** — a pointer *tree*: every chain probe fails after one
   link, so the deterministic backoff must hold this workload at parity
@@ -79,17 +81,15 @@ SIZES = {
 #: full-mode acceptance: minimum total (collect+restore) speedup
 GATES = {"structgrid": 10.0, "linpack": 3.0}
 
-# plan-off restoration of an 8k-node chain recurses one Python frame
+# plan-off restoration of an 8k-node chain recurses a few Python frames
 # per node; give the interpreter room for the full-size workloads
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 200_000))
 
 
 def _set_mode(proc: Process, dest_ti, enabled: bool) -> None:
-    """Toggle graph plans on BOTH sides; codecs stay on (PR 3 config)."""
-    proc.ti.codecs_enabled = True
-    dest_ti.codecs_enabled = True
-    proc.ti.graphplan_enabled = enabled
-    dest_ti.graphplan_enabled = enabled
+    """Toggle the compiled plans on BOTH sides (off: per-cell loop)."""
+    proc.ti.plans_enabled = enabled
+    dest_ti.plans_enabled = enabled
 
 
 def bench_graphplan(workload: str, size, repeats: int) -> dict:
@@ -97,8 +97,8 @@ def bench_graphplan(workload: str, size, repeats: int) -> dict:
     proc = _stopped(prog, polls)
     dest_ti = Process(prog, SPARC20).ti  # shared per (program, arch)
 
-    # warm-up: compiles codecs + graph plans, materializes the arena,
-    # and gives byte-identity its first check before anything is timed
+    # warm-up: materializes the arena, and gives byte-identity its
+    # first check before anything is timed
     payloads, infos = {}, {}
     for enabled in (False, True):
         _set_mode(proc, dest_ti, enabled)

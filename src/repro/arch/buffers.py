@@ -302,7 +302,8 @@ class StreamReadBuffer(ReadBuffer):
         All chunks needed to satisfy the request are gathered first and
         joined in ONE pass — splicing the window per chunk would copy
         the growing window once per pull, turning a multi-MB bulk read
-        (FlatPlan's single-record restore) quadratic in the chunk count.
+        (a pointer-free plan's single-record restore) quadratic in the
+        chunk count.
         """
         have = len(self._view) - self._pos
         if have >= n:

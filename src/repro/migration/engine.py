@@ -26,6 +26,7 @@ Two transfer disciplines share that record stream:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import zlib
@@ -98,6 +99,17 @@ class MigrationAbortedError(MigrationError):
         self.last_error = last_error
 
 
+def _graph_depth_error(phase: str) -> MigrationError:
+    """The typed form of a ``RecursionError`` out of the depth-first
+    traversal: one linked block costs a few Python frames, so a long
+    enough chain the plans cannot batch exhausts the interpreter stack."""
+    return MigrationError(
+        f"pointer graph exceeds the graph-depth limit of the depth-first "
+        f"{phase} (Python recursion limit {sys.getrecursionlimit()}); "
+        f"a linked structure this deep cannot be migrated"
+    )
+
+
 #: transient failures a retry can cure (wire damage, stalls, drops);
 #: anything else — bad arguments, wrong program — fails fast
 RETRYABLE_ERRORS = (ChannelError, WireFrameError, TransferError, RestoreError)
@@ -157,42 +169,46 @@ def _collect_records(process: Process, buf: WriteBuffer, collector_factory=Colle
 
     # register every live local as an MSR block (lazily, at migration time)
     process.register_stack_blocks()
+    try:
+        program = process.program
+        frames = process.frames
+        header = WireHeader(
+            source_arch=process.arch.name,
+            frames=[(f.func_idx, f.pc) for f in frames],
+        )
+        write_header(buf, header)
 
-    program = process.program
-    frames = process.frames
-    header = WireHeader(
-        source_arch=process.arch.name,
-        frames=[(f.func_idx, f.pc) for f in frames],
-    )
-    write_header(buf, header)
+        collector = collector_factory(process, buf)
 
-    collector = collector_factory(process, buf)
+        # frame live data: innermost first (paper §3.2: foo's, then main's)
+        for depth in range(len(frames) - 1, -1, -1):
+            frame = frames[depth]
+            live = program.live_at(frame.func_idx, frame.pc)
+            buf.write_u16(len(live))
+            for var_idx in live:
+                block = process.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
+                buf.write_u16(var_idx)
+                collector.save_variable(block)
+                yield
 
-    # frame live data: innermost first (paper §3.2: foo's, then main's)
-    for depth in range(len(frames) - 1, -1, -1):
-        frame = frames[depth]
-        live = program.live_at(frame.func_idx, frame.pc)
-        buf.write_u16(len(live))
-        for var_idx in live:
-            block = process.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
-            buf.write_u16(var_idx)
+        # globals: unconditionally part of the memory state
+        globals_ = program.globals
+        buf.write_u32(len(globals_))
+        for idx in range(len(globals_)):
+            block = process.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
+            buf.write_u32(idx)
             collector.save_variable(block)
             yield
 
-    # globals: unconditionally part of the memory state
-    globals_ = program.globals
-    buf.write_u32(len(globals_))
-    for idx in range(len(globals_)):
-        block = process.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
-        buf.write_u32(idx)
-        collector.save_variable(block)
-        yield
-
-    stats = collector.finish()
-    # the source process is about to terminate; its collection-time stack
-    # registrations are dropped for hygiene (it may also be resumed locally
-    # when a migration is cancelled)
-    process.msrlt.drop_stack_blocks()
+        stats = collector.finish()
+    except RecursionError:
+        raise _graph_depth_error("collection") from None
+    finally:
+        # the source process is about to terminate, or resumes locally
+        # when the migration fails or is cancelled; either way its
+        # collection-time stack registrations go (register_stack_blocks
+        # keeps ids that are already present)
+        process.msrlt.drop_stack_blocks()
     return CollectInfo(stats=stats, header=header)
 
 
@@ -270,18 +286,21 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "R
 
     restorer = restorer_factory(dest, rbuf)
     n_frames = len(header.frames)
-    for depth in range(n_frames - 1, -1, -1):
-        n_live = rbuf.read_u16()
-        for _ in range(n_live):
-            var_idx = rbuf.read_u16()
-            block = dest.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
-            restorer.restore_variable(block)
+    try:
+        for depth in range(n_frames - 1, -1, -1):
+            n_live = rbuf.read_u16()
+            for _ in range(n_live):
+                var_idx = rbuf.read_u16()
+                block = dest.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
+                restorer.restore_variable(block)
 
-    n_globals = rbuf.read_u32()
-    for _ in range(n_globals):
-        idx = rbuf.read_u32()
-        block = dest.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
-        restorer.restore_variable(block)
+        n_globals = rbuf.read_u32()
+        for _ in range(n_globals):
+            idx = rbuf.read_u32()
+            block = dest.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
+            restorer.restore_variable(block)
+    except RecursionError:
+        raise _graph_depth_error("restoration") from None
 
     if not rbuf.at_end():
         raise MigrationError(f"{rbuf.remaining} trailing bytes in migration payload")

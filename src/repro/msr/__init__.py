@@ -4,8 +4,9 @@
   provides machine-independent logical identification, and supports the
   address→block search used during collection (paper §3.1);
 - :mod:`repro.msr.ti` — the Type Information table: per-type layout and
-  the type-specific saving/restoring functions (with a vectorized fast
-  path for large pointer-free arrays);
+  the type-specific saving/restoring functions, each compiled into one
+  plan by :mod:`repro.msr.graphplan` (vectorized for pointer-free
+  types);
 - :mod:`repro.msr.wire` — the machine-independent migration payload
   format (pointer = *pointer header* + *offset*, per §3.2);
 - :mod:`repro.msr.collect` — ``Save_pointer`` / ``Save_variable``:

@@ -8,8 +8,8 @@ blocks are marked so that they are not saved again."
 
 The collector walks live pointers depth-first; the first visit of a
 block emits a ``BLOCK`` record (header, machine-independent id, type,
-then contents converted cell-by-cell or via the bulk XDR path), every
-later reference emits only a ``REF``.  Pointers inside block contents
+then contents converted by the type's compiled plan or cell by cell),
+every later reference emits only a ``REF``.  Pointers inside block contents
 recurse, which reproduces exactly the traversal order the paper's §3.2
 example walks through (v11 → e8 → v6 → e6 → v10, backtrack …).
 """
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.arch import xdr
 from repro.arch.buffers import WriteBuffer
-from repro.msr.graphplan import NO_PLAN
 from repro.msr.msrlt import MemoryBlock, MSRLTError
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, write_logical
@@ -37,11 +36,12 @@ class CollectStats:
     n_blocks: int = 0
     n_refs: int = 0
     n_nulls: int = 0
+    #: blocks saved through the pointer-free plan: flat types here,
+    #: every other pointer-free type in n_codec_blocks
     n_flat_blocks: int = 0
-    #: blocks saved through a compiled codec plan (struct or segmented)
     n_codec_blocks: int = 0
-    #: blocks saved through a whole-graph plan (flat/ptr-array bulk;
-    #: chain batches count into n_blocks directly, not here)
+    #: blocks saved through the pointer-array plan (chain batches count
+    #: into n_blocks directly, not here)
     n_plan_blocks: int = 0
     #: blocks elided as pre-copy cached stubs (TAG_CACHED records)
     n_cached_blocks: int = 0
@@ -52,12 +52,11 @@ class CollectStats:
 class Collector:
     """One data-collection pass over a process's live state."""
 
-    #: whether the ptr_array/chain whole-graph plans may emit BLOCK
-    #: records in bulk.  The pre-copy delta/final collectors override
-    #: per-record tag decisions (REF-only, cached stubs), which the bulk
-    #: emitters would bypass — they subclass with this set to False.
-    #: Flat plans and codecs stay enabled: they route every pointer cell
-    #: through the overridable save_pointer, or carry no pointers at all.
+    #: whether the ptr_array/chain plans may emit records in bulk.  The
+    #: pre-copy delta/final collectors override per-record tag decisions
+    #: (REF-only, cached stubs), which the bulk emitters would bypass —
+    #: they subclass with this set to False.  The pointer-free plan
+    #: stays enabled: it carries no pointers at all.
     pointer_plans = True
 
     def __init__(self, process, buf: WriteBuffer) -> None:
@@ -73,11 +72,10 @@ class Collector:
         self._prof = obs.current_attribution()
         if self._prof is not None:
             self.msrlt.profiler = self._prof
-        # whole-graph plans are bypassed under attribution so PR 5's
-        # exact per-type byte partition keeps its meaning (DESIGN §12)
-        self.plan_enabled = self._prof is None and getattr(
-            process.ti, "graphplan_enabled", True
-        )
+        self._plans = process.ti.plans_enabled
+        # the pointer plans emit records past the per-block attribution
+        # hooks, so they are bypassed under attribution (DESIGN §12)
+        self._pointer_plans = self.pointer_plans and self._prof is None
         # chain-plan engagement backoff state (graphplan.ChainPlan)
         self._chain_misses = 0
         self._chain_skip = 0
@@ -147,50 +145,26 @@ class Collector:
                 )
 
     def _save_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Serialize one block's contents; returns which path engaged
-        (``"flat"`` / ``"codec"`` / ``"percell"``, for attribution)."""
-        if self.plan_enabled:
-            # inlined ti.plan_for fast path — this runs once per record
-            plan = info.plan
-            if plan is None:
-                plan = self.ti.plan_for(info)
-            elif plan is NO_PLAN:
-                plan = None
-        else:
-            plan = None
-        if info.flat_kind is not None:
-            # bulk path: one vectorized encode for the whole block
-            self.buf.write_u8(FLAG_FLAT)
-            n = info.cells_in(block.count)
-            if plan is not None and plan.save(self, block, info):
-                # zero-copy cast straight into the wire buffer storage
-                self.stats.n_plan_blocks += 1
-                return "plan"
-            self.buf.write(self.ti.save_flat(self.memory, block.addr, info.flat_kind, n))
-            self.stats.n_flat_blocks += 1
-            return "flat"
-
-        self.buf.write_u8(0)
-        codec = self.ti.codec_for(info)
-        if codec is not None:
-            # compiled plan: vectorized (pointer-free) or segmented
-            # (bulk runs + pointers); bytes identical to the loop below
-            codec.save(self, block, info)
-            self.stats.n_codec_blocks += 1
-            return "codec"
+        """Serialize one block's contents: the type's plan when it has
+        one, else the per-cell loop — the reference every plan is
+        byte-identical to.  Returns which path engaged (``"flat"`` /
+        ``"codec"`` / ``"percell"``, for attribution)."""
+        self.buf.write_u8(FLAG_FLAT if info.flat_kind is not None else 0)
+        plan = info.plan
+        chain = None
         if (
             plan is not None
-            and self.pointer_plans
-            and plan.KIND == "ptr_array"
-            and plan.save(self, block, info)
+            and self._plans
+            and (self._pointer_plans or not plan.EMITS_RECORDS)
         ):
-            self.stats.n_plan_blocks += 1
-            return "plan"
-        chain = (
-            plan
-            if plan is not None and self.pointer_plans and plan.KIND == "chain"
-            else None
-        )
+            if plan.KIND == "chain":
+                # no block-level batch: the chain plan hooks each unit's
+                # tail pointer in the loop below (emitting exactly what
+                # save_pointer would).  The loop stays inline so a linked
+                # block costs no extra frame against the recursion limit
+                chain = plan
+            elif plan.save(self, block, info):
+                return plan.KIND
         memory = self.memory
         buf = self.buf
         addr = block.addr
@@ -203,11 +177,8 @@ class Collector:
                 if cell.kind == "ptr":
                     value = memory.load("ptr", base + cell.offset)
                     if cell is tail:
-                        # tail pointer of a chain-shaped struct: let the
-                        # plan try a batched stride walk (emits exactly
-                        # what save_pointer would).  The backoff skip
-                        # branch is inlined so declined tails cost one
-                        # int test over the reference path
+                        # the backoff skip branch is inlined so declined
+                        # tails cost one int test over the reference path
                         if self._chain_skip and value != 0:
                             self._chain_skip -= 1
                             self.save_pointer(value)

@@ -1,20 +1,14 @@
-"""Compiled whole-graph collect/restore plans (DESIGN.md §12).
+"""Compiled saving/restoring plans (DESIGN.md §8, §12).
 
-PR 3's codecs vectorized the *contents* of one block; the graph walk
-itself — pointer discovery, MSRLT search, record emission — stayed a
-per-cell Python loop.  This module compiles the walk:
+Every :class:`~repro.msr.ti.TypeInfo` carries at most one plan, compiled
+once per (type, architecture) by :func:`compile_plan`:
 
-- :class:`SortedArena` — the MSRLT's blocks snapshotted into parallel
-  NumPy columns (starts, ends, kinds, logical ids, type keys, counts)
-  so *every pointer in a block* translates to ``(logical id, offset)``
-  with one ``numpy.searchsorted`` instead of one bisect per pointer.
-  Stamped with the table's mutation generation: register/unregister
-  invalidates it and the scalar last-hit cache by the same rule.
-
-- :class:`FlatPlan` — zero-copy bulk path: a host-dtype view over the
-  block's segment window cast straight into the wire buffer's storage
-  (collect), and a wire-dtype view over the read window assigned into
-  the segment (restore).  No intermediate ``bytes`` on either side.
+- :class:`PointerFreePlan` — every type without pointer cells.  A block
+  converts between a host NumPy dtype (structured, with the real field
+  offsets, when the type is not a dense run of one primitive) and its
+  packed big-endian wire dtype in one cast; when the two dtypes are
+  equal the bytes move with no cast at all (segment window → wire
+  buffer storage on collect, wire → segment window on restore).
 
 - :class:`PtrArrayPlan` — for blocks that are dense pointer arrays
   (``cell *hot[64]``): gather every pointer value with one
@@ -31,15 +25,25 @@ per-cell Python loop.  This module compiles the walk:
   nodes are carved with one bulk heap allocation + one bulk MSRLT
   slice-insert, and the contents land with one scatter write.
 
+Both pointer plans look addresses up in a :class:`SortedArena` — the
+MSRLT's blocks snapshotted into parallel NumPy columns (starts, ends,
+kinds, logical ids, type keys, counts) so *every pointer in a block*
+translates to ``(logical id, offset)`` with one ``numpy.searchsorted``
+instead of one bisect per pointer.  Stamped with the table's mutation
+generation: register/unregister invalidates it and the scalar last-hit
+cache by the same rule.
+
 Every plan produces and consumes bytes *identical* to the per-cell
-reference path — each decision point either batches or falls back to
-the reference functions mid-stream, never both for the same record —
-and the per-element eligibility rules (visited marks, address parity of
-the destination allocator, padding ordinals, dangling pointers) are
-checked *before* any bytes are written so a decline is always clean.
-``TITable.graphplan_enabled = False`` disables compilation wholesale;
-plans are also bypassed whenever an attribution profiler is active so
-PR 5's exact per-type byte partition keeps its meaning.
+reference loop in the collector and restorer — each decision point
+either batches or falls back to the reference functions mid-stream,
+never both for the same record — and the per-element eligibility rules
+(visited marks, address parity of the destination allocator, padding
+ordinals, dangling pointers) are checked *before* any bytes are written
+so a decline is always clean.  ``TITable.plans_enabled = False`` sends
+every block through the reference loop.  The two pointer plans
+(``EMITS_RECORDS``) write records past the per-block hooks, so they are
+also off whenever an attribution profiler is active (its per-type byte
+partition must stay exact) and in the pre-copy collectors/restorers.
 """
 
 from __future__ import annotations
@@ -54,19 +58,15 @@ from repro.msr.msrlt import BlockKind, MSRLTError
 
 __all__ = [
     "SortedArena",
-    "FlatPlan",
+    "PointerFreePlan",
     "PtrArrayPlan",
     "ChainPlan",
     "compile_plan",
-    "NO_PLAN",
 ]
 
-#: TypeInfo.plan value meaning "compiled: no plan applies"
-NO_PLAN = object()
-
-#: smallest pointer-array / flat block worth the NumPy call overhead
-#: (below this the scalar loop is faster; payload bytes are identical
-#: either way, so the threshold is purely a performance choice)
+#: smallest pointer-array block worth the NumPy call overhead (below
+#: this the scalar loop is faster; payload bytes are identical either
+#: way, so the threshold is purely a performance choice)
 MIN_BULK_CELLS = 16
 #: smallest chain batch worth the collect-side NumPy round-trip.  The
 #: scalar pre-walk in :meth:`ChainPlan.save_tail` must find this many
@@ -241,58 +241,81 @@ def _true_prefix(mask: np.ndarray) -> int:
     return int(bad[0]) if bad.size else int(mask.size)
 
 
-# -- flat blocks --------------------------------------------------------------
+# -- pointer-free blocks ------------------------------------------------------
 
 
-class FlatPlan:
-    """Zero-copy bulk path for homogeneous dense primitive blocks."""
+class PointerFreePlan:
+    """The saving/restoring function of every pointer-free type.
 
-    KIND = "flat"
-    __slots__ = ("kind", "host_dtype", "wire_dtype")
+    The block's cells are a host NumPy dtype — a plain primitive dtype
+    for flat types (``double[n]``, ``struct {int a; int b;}``), else a
+    structured dtype with the unit's real field offsets and itemsize, so
+    padding is stepped over for free — and the wire image is the packed
+    big-endian twin of the same fields.  One cast moves a whole block
+    either way, independent of its size.  When the two dtypes are equal
+    (big-endian host, wire-sized fields, no padding) no cast is needed
+    at all: collection writes the segment window straight into the wire
+    buffer and restoration reads the wire straight into the segment.
+    """
+
+    EMITS_RECORDS = False
+    __slots__ = ("KIND", "host_dtype", "wire_dtype", "per_unit", "same")
 
     def __init__(self, info, layout) -> None:
-        self.kind = info.flat_kind
-        self.host_dtype = xdr.host_np_dtype(self.kind, layout.arch)
-        self.wire_dtype = xdr.wire_dtype(self.kind)
+        arch = layout.arch
+        if info.flat_kind is not None:
+            # KIND doubles as the attribution engagement class
+            self.KIND = "flat"
+            self.host_dtype = xdr.host_np_dtype(info.flat_kind, arch)
+            self.wire_dtype = xdr.wire_dtype(info.flat_kind)
+            self.per_unit = info.cell_count
+        else:
+            self.KIND = "codec"
+            names = [f"c{i}" for i in range(info.cell_count)]
+            self.host_dtype = np.dtype({
+                "names": names,
+                "formats": [xdr.host_np_dtype(c.kind, arch) for c in info.cells],
+                "offsets": [c.offset for c in info.cells],
+                "itemsize": info.unit_size,
+            })
+            self.wire_dtype = np.dtype(
+                [(name, xdr.wire_dtype(c.kind)) for name, c in zip(names, info.cells)]
+            )
+            self.per_unit = 1
+        self.same = self.host_dtype == self.wire_dtype
 
     def save(self, collector, block, info) -> bool:
-        n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
-        memory = collector.memory
-        raw = memory.view(block.addr, n * self.host_dtype.itemsize)
-        if self.host_dtype == self.wire_dtype:
-            # host representation IS the wire representation (same width,
-            # same byte order): one memcpy into the wire storage
+        n = info.units_in(block.count) * self.per_unit
+        raw = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
+        if self.same:
             collector.buf.write(raw)
-            return True
-        src = np.frombuffer(raw, dtype=self.host_dtype, count=n)
-        # cast straight into the wire buffer's storage: the only copy is
-        # the conversion itself (save_flat does read-copy + encode-copy)
-        collector.buf.write_ndarray(src, self.wire_dtype)
-        del src
+        else:
+            # cast straight into the wire buffer's storage: C-style, so
+            # narrowing wraps modulo 2^bits and widening sign-extends,
+            # exactly like xdr.encode on each cell
+            collector.buf.write_ndarray(
+                np.frombuffer(raw, self.host_dtype, count=n), self.wire_dtype
+            )
+        if self.KIND == "flat":
+            collector.stats.n_flat_blocks += 1
+        else:
+            collector.stats.n_codec_blocks += 1
         return True
 
     def restore(self, restorer, block, info) -> bool:
-        n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
-        nbytes = n * self.wire_dtype.itemsize
-        if self.host_dtype == self.wire_dtype:
-            # host representation IS the wire representation: fill the
-            # destination span straight from the wire.  On a streamed
-            # restore this copies each arriving chunk directly into the
-            # segment window — no intermediate join, one copy total
-            dest = restorer.memory.write_view(block.addr, nbytes)
+        n = info.units_in(block.count) * self.per_unit
+        dest = restorer.memory.write_view(block.addr, n * self.host_dtype.itemsize)
+        if self.same:
+            # on a streamed restore each arriving chunk lands directly in
+            # the segment window: no intermediate join, one copy total
             restorer.buf.readinto(dest)
             return True
-        raw = restorer.buf.read(nbytes)
-        src = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
-        # transient writable view over the segment window (materialized
-        # first, so no resize can happen while the view is alive)
-        dst = restorer.memory.array_view(self.kind, block.addr, n)
-        dst[:] = src
-        del dst
+        wire = restorer.buf.read(n * self.wire_dtype.itemsize)
+        # field-wise assignment: padding bytes stay as they are, as with
+        # the per-cell loop
+        np.frombuffer(dest, self.host_dtype, count=n)[:] = np.frombuffer(
+            wire, self.wire_dtype, count=n
+        )
         return True
 
 
@@ -303,6 +326,7 @@ class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks."""
 
     KIND = "ptr_array"
+    EMITS_RECORDS = True
     __slots__ = ("ptr_size",)
 
     def __init__(self, info, layout) -> None:
@@ -367,6 +391,7 @@ class PtrArrayPlan:
             else:
                 self._emit_ref_run(collector, arena, vals, idx, offs, p, q)
             p = q
+        stats.n_plan_blocks += 1
         return True
 
     def _emit_ref_run(self, collector, arena, vals, idx, offs, p, q) -> None:
@@ -490,6 +515,7 @@ class ChainPlan:
     """
 
     KIND = "chain"
+    EMITS_RECORDS = True
     __slots__ = (
         "info", "tail_off", "ptr_size", "row_dtype", "row_size",
         "cols", "n_ptr_cols", "host_dtype_cache", "host_fields", "size",
@@ -966,20 +992,18 @@ class ChainPlan:
 
 
 def compile_plan(info, layout):
-    """Compile the graph plan for one (TypeInfo, architecture), or
-    ``None`` when no plan shape applies (the per-cell/codec paths are
-    already the right tool)."""
-    arch = layout.arch
-    if info.flat_kind is not None:
-        return FlatPlan(info, layout)
+    """The saving/restoring plan of one (TypeInfo, architecture): the
+    pointer-free plan, a pointer-array plan, a chain plan, or ``None``
+    when the per-cell loop is the right tool."""
     cells = info.cells
     if not cells:
         return None
+    if not info.has_pointers:
+        return PointerFreePlan(info, layout)
     if (
         info.cell_count == 1
-        and cells[0].kind == "ptr"
         and cells[0].offset == 0
-        and info.unit_size == arch.ptr_size
+        and info.unit_size == layout.arch.ptr_size
     ):
         return PtrArrayPlan(info, layout)
     if info.repeat == 1 and info.cell_count >= 2 and cells[-1].kind == "ptr":

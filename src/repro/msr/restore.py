@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.arch import xdr
 from repro.arch.buffers import ReadBuffer
-from repro.msr.graphplan import NO_PLAN
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, read_logical
@@ -54,7 +53,7 @@ class Restorer:
 
     #: mirror of Collector.pointer_plans — the pre-copy restorers read
     #: per-record tags the bulk ptr_array/chain restore paths cannot see,
-    #: so their subclasses disable those two plan kinds symmetrically.
+    #: so their subclasses disable those two plans symmetrically.
     pointer_plans = True
 
     def __init__(self, process, buf: ReadBuffer) -> None:
@@ -69,11 +68,10 @@ class Restorer:
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
-        # whole-graph plans are bypassed under attribution so PR 5's
-        # exact per-type byte partition keeps its meaning (DESIGN §12)
-        self.plan_enabled = self._prof is None and getattr(
-            process.ti, "graphplan_enabled", True
-        )
+        self._plans = process.ti.plans_enabled
+        # the pointer plans consume records past the per-block
+        # attribution hooks, so they are bypassed under attribution
+        self._pointer_plans = self.pointer_plans and self._prof is None
         # chain-plan engagement backoff state (graphplan.ChainPlan)
         self._chain_misses = 0
         self._chain_skip = 0
@@ -91,7 +89,7 @@ class Restorer:
         their windows grow with the usual slack amortization.
         """
         spans: dict[str, tuple] = {}
-        for block in self.msrlt.arena().blocks:
+        for block in self.msrlt.blocks():
             seg = self.memory.segment_of(block.addr)
             lo, hi = spans.get(seg.name, (block.addr, block.end))
             spans[seg.name] = (min(lo, block.addr), max(hi, block.end))
@@ -183,63 +181,30 @@ class Restorer:
     # -- contents -----------------------------------------------------------------------------
 
     def _restore_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Rebuild one block's contents; returns which path engaged
-        (``"flat"`` / ``"codec"`` / ``"percell"``, for attribution)."""
+        """Rebuild one block's contents: the type's plan when it has
+        one, else the per-cell loop — the reference every plan is
+        byte-identical to.  Returns which path engaged (``"flat"`` /
+        ``"codec"`` / ``"percell"``, for attribution)."""
         flags = self.buf.read_u8()
-        n_cells = info.cells_in(block.count)
-        if self.plan_enabled:
-            # inlined ti.plan_for fast path — this runs once per record
-            plan = info.plan
-            if plan is None:
-                plan = self.ti.plan_for(info)
-            elif plan is NO_PLAN:
-                plan = None
-        else:
-            plan = None
-
-        if flags & FLAG_FLAT:
-            # the wire is a dense run of one primitive kind; find that kind
-            # from the type (flatness is structural, but be defensive about
-            # exotic architectures where the destination layout is padded)
-            kind = info.cells[0].kind
-            if (
-                info.flat_kind is not None
-                and plan is not None
-                and plan.restore(self, block, info)
-            ):
-                # zero-copy: wire view decoded straight into the segment
-                return "plan"
-            raw = self.buf.read(n_cells * xdr.wire_sizeof(kind))
-            if info.flat_kind is not None:
-                self.ti.restore_flat(self.memory, block.addr, kind, n_cells, raw)
-            else:  # pragma: no cover - no supported arch pair hits this
-                values = xdr.decode_array(kind, raw, n_cells)
-                for i in range(info.units_in(block.count)):
-                    base = block.addr + i * info.unit_size
-                    for j, cell in enumerate(info.cells):
-                        self.memory.store(
-                            cell.kind, base + cell.offset, values[i * info.cell_count + j].item()
-                        )
-            return "flat"
-
-        codec = self.ti.codec_for(info)
-        if codec is not None:
-            # compiled mirror plan for this (type, destination arch)
-            codec.restore(self, block, info)
-            return "codec"
-
+        if flags != (FLAG_FLAT if info.flat_kind is not None else 0):
+            raise RestoreError(
+                f"contents flags {flags:#x} do not match type {info.label} "
+                f"of block {block.logical}"
+            )
+        plan = info.plan
+        chain = None
         if (
             plan is not None
-            and self.pointer_plans
-            and plan.KIND == "ptr_array"
-            and plan.restore(self, block, info)
+            and self._plans
+            and (self._pointer_plans or not plan.EMITS_RECORDS)
         ):
-            return "plan"
-        chain = (
-            plan
-            if plan is not None and self.pointer_plans and plan.KIND == "chain"
-            else None
-        )
+            if plan.KIND == "chain":
+                # no block-level batch: the chain plan may consume a run
+                # of records at each unit's tail pointer in the loop below
+                # (inline, like the collector's, to keep recursion shallow)
+                chain = plan
+            elif plan.restore(self, block, info):
+                return plan.KIND
         memory = self.memory
         buf = self.buf
         cells = info.cells
@@ -249,10 +214,7 @@ class Restorer:
             for cell in cells:
                 if cell.kind == "ptr":
                     if cell is tail:
-                        # tail pointer of a chain-shaped struct: a batched
-                        # restore consumes the whole row run; otherwise
-                        # fall through to the reference record read.  The
-                        # backoff skip branch is inlined (one int test)
+                        # the backoff skip branch is inlined (one int test)
                         if self._chain_skip:
                             self._chain_skip -= 1
                             value = None

@@ -62,12 +62,12 @@ class TestCodecByteIdentity:
         source, polls = WORKLOADS[workload]
         proc = _stopped(source, polls, arch)
         try:
-            proc.ti.codecs_enabled = False
+            proc.ti.plans_enabled = False
             baseline, _ = collect_state(proc)
-            proc.ti.codecs_enabled = True
+            proc.ti.plans_enabled = True
             compiled, info = collect_state(proc)
         finally:
-            proc.ti.codecs_enabled = True
+            proc.ti.plans_enabled = True
         assert compiled == baseline
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -81,13 +81,13 @@ class TestCodecByteIdentity:
         baseline = Process(prog, DEC5000)
         baseline.run_to_completion()
 
-        proc.ti.codecs_enabled = False
+        proc.ti.plans_enabled = False
         try:
             payload, _ = collect_state(proc)
         finally:
-            proc.ti.codecs_enabled = True
+            proc.ti.plans_enabled = True
         dest = Process(prog, SPARC20)
-        assert dest.ti.codecs_enabled
+        assert dest.ti.plans_enabled
         restore_state(prog, payload, dest)
         dest.run()
         assert dest.stdout == baseline.stdout

@@ -35,7 +35,7 @@ def _chain_run(program, plan_enabled: bool):
     # TypeInfo tables are shared per (program, arch): toggling through a
     # throwaway Process reaches every process of this program below
     for arch in arches:
-        Process(program, arch).ti.graphplan_enabled = plan_enabled
+        Process(program, arch).ti.plans_enabled = plan_enabled
     try:
         proc = Process(program, arches[0])
         proc.start()
@@ -59,7 +59,7 @@ def _chain_run(program, plan_enabled: bool):
         return proc.stdout, payloads
     finally:
         for arch in arches:
-            Process(program, arch).ti.graphplan_enabled = True
+            Process(program, arch).ti.plans_enabled = True
 
 
 def test_corpus_is_populated():

@@ -26,16 +26,24 @@ from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86
 from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
 from repro.clang.ctypes import INT, TypeLayout
 from repro.migration.engine import collect_state, restore_state
+from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import MSRLT, BlockKind, MSRLTError
+from repro.obs import MigrationObservation
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from repro.workloads import bitonic_source, linpack_source, structgrid_source
+from repro.workloads import (
+    bitonic_source,
+    hashtable_source,
+    linpack_source,
+    structgrid_source,
+)
 
 WORKLOADS = {
     "structgrid": (structgrid_source(64, 24), 12),
     "linpack": (linpack_source(48), 1),
     "bitonic": (bitonic_source(96), 24),
+    "hashtable": (hashtable_source(120), 60),
 }
 
 #: endianness flip, word-size change, and a same-layout control
@@ -54,8 +62,7 @@ def _stopped(source: str, polls: int, arch) -> Process:
 
 
 def _set_plans(proc: Process, enabled: bool) -> None:
-    proc.ti.codecs_enabled = True
-    proc.ti.graphplan_enabled = enabled
+    proc.ti.plans_enabled = enabled
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +237,36 @@ class TestPlanByteIdentity:
         _set_plans(proc, True)
         _, info = collect_state(proc)
         assert info.stats.n_plan_blocks > 0
+
+    def test_hashtable_engages_the_chain_plan(self):
+        """``struct entry`` ends in its ``next`` pointer: the chain plan
+        is its one plan, so the identity rows above cover its bytes."""
+        source, polls = WORKLOADS["hashtable"]
+        proc = _stopped(source, polls, ULTRA5)
+        plans = {}
+        for block in proc.msrlt.heap_blocks():
+            info = proc.ti.info_for(block.elem_type)
+            plans[info.label] = info.plan
+        assert isinstance(plans["struct entry"], ChainPlan)
+
+    def test_attribution_keeps_payload_and_engagement(self):
+        """The pointer-free plan runs under attribution too: a traced
+        collection writes the same bytes and counts the same flat and
+        codec blocks as an untraced one."""
+        source, polls = WORKLOADS["structgrid"]
+        proc = _stopped(source, polls, DEC5000)
+        plain, plain_info = collect_state(proc)
+        observation = MigrationObservation(attribution=True)
+        with observation.activate():
+            traced, traced_info = collect_state(proc)
+        assert observation.attribution.summary()["rows"]
+        assert traced == plain
+        for counter in ("n_flat_blocks", "n_codec_blocks"):
+            assert getattr(traced_info.stats, counter) == getattr(
+                plain_info.stats, counter
+            )
+        assert plain_info.stats.n_flat_blocks > 0
+        assert plain_info.stats.n_codec_blocks > 0
 
     def test_n_searches_identical_across_modes(self):
         """E5's complexity counters must not notice the plans: a bulk

@@ -7,6 +7,7 @@ migration." (§4.1)
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.migration import (
     Scheduler,
 )
 from repro.migration.engine import MigrationError, collect_state
+from repro.msr.msrlt import BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -247,6 +249,65 @@ class TestMigrationMechanics:
         res = sched.run(proc)
         assert len(res.migrations) == 3
         assert res.stdout == base.stdout
+
+
+DEEP_LIST = """
+struct node { int v; struct node *next; };
+struct pad { double a; double b; };
+struct node *head;
+int main() {
+    int i;
+    int sum = 0;
+    struct node *q;
+    for (i = 0; i < 400; i++) {
+        struct node *n = (struct node *) malloc(sizeof(struct node));
+        /* uneven interleaving: no constant stride for the chain plan */
+        if (i % 3 == 0) {
+            struct pad *p = (struct pad *) malloc(sizeof(struct pad));
+            p->a = i;
+        }
+        n->v = i;
+        n->next = head;
+        head = n;
+    }
+    migrate_here();
+    for (q = head; q != NULL; q = q->next) sum += q->v;
+    printf("sum=%d\\n", sum);
+    return 0;
+}
+"""
+
+
+class TestDeepPointerChains:
+    """A linked list deeper than the interpreter stack allows the
+    depth-first traversal fails typed, and the source stays runnable."""
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        # the traversal depth is bounded by the interpreter's default
+        # recursion limit; pin it, whatever else raised it in-process
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(old)
+
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_depth_limit_is_typed_and_source_resumes(self, attribution):
+        prog = compile_program(DEEP_LIST, poll_strategy="user")
+        base = Process(prog, SPARC20)
+        base.run_to_completion()
+        proc = Process(prog, SPARC20)
+        proc.start()
+        proc.migration_pending = True
+        assert proc.run().status == "poll"
+        with pytest.raises(MigrationError, match="graph-depth limit"):
+            MigrationEngine().migrate(proc, X86, attribution=attribution)
+        assert not [
+            b for b in proc.msrlt.blocks() if b.logical[0] == BlockKind.STACK
+        ]
+        proc.migration_pending = False
+        assert proc.run().status == "exit"
+        assert proc.stdout == base.stdout == "sum=79800\n"
 
 
 class TestSchedulerBehaviour:

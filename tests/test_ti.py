@@ -1,8 +1,11 @@
 """Tests for the Type Information table."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, X86
+from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.clang.ctypes import (
     ArrayType,
     CHAR,
@@ -12,6 +15,7 @@ from repro.clang.ctypes import (
     StructType,
     TypeLayout,
 )
+from repro.msr.collect import CollectStats
 from repro.msr.ti import TITable, flat_prim_kind
 from repro.vm.program import compile_program
 
@@ -134,7 +138,8 @@ class TestTypeInfo:
 
 class TestBulkPath:
     def test_save_restore_flat_cross_endian(self):
-        """Bulk encode on little-endian, bulk decode on big-endian."""
+        """The flat block's plan: bulk encode on little-endian, bulk
+        decode on big-endian."""
         import numpy as np
 
         from repro.vm.memory import Memory
@@ -149,9 +154,20 @@ class TestBulkPath:
         values = np.linspace(-1.0, 1.0, 64)
         src_mem.write_array("double", a, values)
 
-        wire = ti_src.save_flat(src_mem, a, "double", 64)
+        collector = SimpleNamespace(
+            memory=src_mem, buf=WriteBuffer(), stats=CollectStats()
+        )
+        info = ti_src.info(0)
+        assert info.plan.save(collector, SimpleNamespace(addr=a, count=1), info)
+        assert collector.stats.n_flat_blocks == 1
+        wire = collector.buf.getvalue()
+        assert wire == values.astype(">f8").tobytes()
+
         b = dst_mem.heap_alloc(512)
-        ti_dst.restore_flat(dst_mem, b, "double", 64, wire)
+        restorer = SimpleNamespace(memory=dst_mem, buf=ReadBuffer(wire))
+        info = ti_dst.info(0)
+        assert info.plan.restore(restorer, SimpleNamespace(addr=b, count=1), info)
+        assert restorer.buf.at_end()
 
         back = dst_mem.read_array("double", b, 64)
         np.testing.assert_array_equal(back.astype("<f8"), values)

@@ -20,9 +20,11 @@ from repro.migration.engine import (
     restore_state,
     restore_state_stream,
 )
+from repro.msr.collect import Collector
 from repro.msr.msrlt import MSRLTError
 from repro.msr.restore import RestoreError
 from repro.msr.wire import (
+    FLAG_FLAT,
     ChunkDecoder,
     WireFrameError,
     encode_chunk,
@@ -31,6 +33,7 @@ from repro.msr.wire import (
 from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from repro.workloads import hashtable_source, structgrid_source
 
 PROGRAM = """
 struct link { int v; struct link *next; };
@@ -159,6 +162,57 @@ def _try_stream_restore(frames):
     dest = Process(_PROG, SPARC20)
     restore_state_stream(_PROG, payloads(), dest)
     return dest
+
+
+class TestContentsFlags:
+    """A block record's flags byte must be exactly ``FLAG_FLAT`` for a
+    flat destination type and 0 otherwise; anything else is a typed
+    ``RestoreError`` before a single contents byte is read."""
+
+    @pytest.mark.parametrize(
+        "source, polls, labels",
+        [
+            (
+                structgrid_source(64, 24), 12,
+                {"struct probe", "struct probe *", "struct cell * [24]"},
+            ),
+            (hashtable_source(120), 60, {"struct entry"}),
+        ],
+        ids=["structgrid", "hashtable"],
+    )
+    def test_flat_flag_on_non_flat_record_rejected(self, source, polls, labels):
+        prog = compile_program(source, poll_strategy="user")
+        proc = Process(prog, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        proc.migrate_after_polls = polls
+        assert proc.run().status == "poll"
+
+        flags_at = []
+
+        class Recording(Collector):
+            def _save_contents(self, block, info):
+                if info.flat_kind is None:
+                    flags_at.append((self.buf.nbytes, info.label))
+                return super()._save_contents(block, info)
+
+        # with the plans off every record passes through _save_contents;
+        # the payload is byte-identical either way
+        proc.ti.plans_enabled = False
+        try:
+            recorded, _ = collect_state(proc, collector_factory=Recording)
+        finally:
+            proc.ti.plans_enabled = True
+        payload, _ = collect_state(proc)
+        assert payload == recorded
+        assert labels <= {label for _, label in flags_at}
+
+        for pos, label in flags_at:
+            assert payload[pos] == 0, label
+            bad = bytearray(payload)
+            bad[pos] = FLAG_FLAT
+            with pytest.raises(RestoreError, match="flags"):
+                restore_state(prog, bytes(bad), Process(prog, SPARC20))
 
 
 class TestStreamCorruption:
